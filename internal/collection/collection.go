@@ -388,8 +388,9 @@ func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err 
 
 	var out []Record
 	skips := 0
+	env := &query.Env{Funcs: funcs} // one per query; Rec is set per record
 	for _, cand := range snap {
-		env := &query.Env{Rec: query.MapRecord(cand.rec.attrs), Funcs: funcs}
+		env.Rec = query.MapRecord(cand.rec.attrs)
 		ok, err := query.EvalEnv(e, env)
 		if err != nil {
 			// One record's bad value must not hide every other resource

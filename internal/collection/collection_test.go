@@ -353,3 +353,40 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("stats = %d queries %d updates", q, u)
 	}
 }
+
+// TestQueryAllocsIndependentOfSize: a query allocates O(1) per call, not
+// per record — one Env serves the whole scan and results share each
+// record's pairs — so 2000 records cost at most a small constant more
+// allocations than 200 (the result slice's growth steps).
+func TestQueryAllocsIndependentOfSize(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	const slack = 32
+	measure := func(n int, src string) float64 {
+		c := New(orb.NewRuntime("uva"), nil)
+		for i := 1; i <= n; i++ {
+			c.Join(member(uint64(i)), hostAttrs("Linux", "2.2", float64(i%10)/10), "")
+		}
+		var err error
+		got := testing.AllocsPerRun(20, func() {
+			var recs []Record
+			if recs, err = c.Query(src); err == nil && len(recs) != n {
+				err = fmt.Errorf("%d records, want %d", len(recs), n)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		return got
+	}
+	for _, src := range []string{
+		`defined($host_os_name)`,
+		`$host_load >= 0 and $host_os_version == "2.2"`,
+	} {
+		small, large := measure(200, src), measure(2000, src)
+		if large-small > slack {
+			t.Errorf("%q: %v allocs at 2000 records, %v at 200; budget +%d", src, large, small, slack)
+		}
+	}
+}

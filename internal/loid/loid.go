@@ -45,10 +45,22 @@ func (l LOID) IsNil() bool { return l == Nil }
 // "legion:<domain>/<class>/<instance>". The nil LOID renders as
 // "legion:nil".
 func (l LOID) String() string {
+	var buf [64]byte
+	return string(l.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of the LOID to b, for callers that
+// render LOIDs on a hot path (reservation MACs) without allocating.
+func (l LOID) AppendTo(b []byte) []byte {
 	if l.IsNil() {
-		return "legion:nil"
+		return append(b, "legion:nil"...)
 	}
-	return fmt.Sprintf("legion:%s/%s/%d", l.Domain, l.Class, l.Instance)
+	b = append(b, "legion:"...)
+	b = append(b, l.Domain...)
+	b = append(b, '/')
+	b = append(b, l.Class...)
+	b = append(b, '/')
+	return strconv.AppendUint(b, l.Instance, 10)
 }
 
 // Short returns an abbreviated human-readable form, "<class>/<instance>",
@@ -73,7 +85,8 @@ func (l LOID) Less(o LOID) bool {
 }
 
 // Parse parses the canonical textual form produced by String. It accepts
-// "legion:nil" and returns the nil LOID for it.
+// "legion:nil" and returns the nil LOID for it. Parsing a valid LOID does
+// not allocate: the domain and class share s's bytes.
 func Parse(s string) (LOID, error) {
 	const prefix = "legion:"
 	if !strings.HasPrefix(s, prefix) {
@@ -83,22 +96,26 @@ func Parse(s string) (LOID, error) {
 	if rest == "nil" {
 		return Nil, nil
 	}
-	parts := strings.Split(rest, "/")
-	if len(parts) != 3 {
+	// Exactly two slashes split rest into domain/class/instance.
+	i := strings.IndexByte(rest, '/')
+	j := -1
+	if i >= 0 {
+		if j = strings.IndexByte(rest[i+1:], '/'); j >= 0 {
+			j += i + 1
+		}
+	}
+	if j < 0 || strings.IndexByte(rest[j+1:], '/') >= 0 {
 		return Nil, fmt.Errorf("loid: %q: want domain/class/instance", s)
 	}
-	if parts[0] == "" || parts[1] == "" {
+	domain, class, inst := rest[:i], rest[i+1:j], rest[j+1:]
+	if domain == "" || class == "" {
 		return Nil, fmt.Errorf("loid: %q: empty domain or class", s)
 	}
-	n, err := strconv.ParseUint(parts[2], 10, 64)
+	n, err := strconv.ParseUint(inst, 10, 64)
 	if err != nil {
 		return Nil, fmt.Errorf("loid: %q: bad instance: %v", s, err)
 	}
-	l := LOID{Domain: parts[0], Class: parts[1], Instance: n}
-	if l.IsNil() {
-		return Nil, fmt.Errorf("loid: %q parses to the nil LOID", s)
-	}
-	return l, nil
+	return LOID{Domain: domain, Class: class, Instance: n}, nil
 }
 
 // MustParse is Parse but panics on error; intended for tests and

@@ -1,6 +1,9 @@
 package loid
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -44,6 +47,17 @@ func TestParseErrors(t *testing.T) {
 		"legion:uva//1",
 		"legion:uva/Host/notanumber",
 		"legion:uva/Host/-1",
+		"legion:a/b/1/2",
+		"legion:a/b/",
+		"legion:/b/1",
+		"legion:a//1",
+		"legion:a/b/1/",
+		"legion:a/b/1/x",
+		"legion:a",
+		"legion:/",
+		"legion://",
+		"legion:nil/",
+		"legion:a/b/18446744073709551616",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -161,4 +175,83 @@ func TestShortAndMustParse(t *testing.T) {
 		t.Error("MustParse round trip")
 	}
 	assertPanics(t, func() { MustParse("garbage") })
+}
+
+// splitParse is the strings.Split-based Parse the allocation-free one
+// replaced, kept as the oracle FuzzParse holds it to.
+func splitParse(s string) (LOID, error) {
+	const prefix = "legion:"
+	if !strings.HasPrefix(s, prefix) {
+		return Nil, fmt.Errorf("loid: %q lacks %q prefix", s, prefix)
+	}
+	rest := s[len(prefix):]
+	if rest == "nil" {
+		return Nil, nil
+	}
+	parts := strings.Split(rest, "/")
+	if len(parts) != 3 {
+		return Nil, fmt.Errorf("loid: %q: want domain/class/instance", s)
+	}
+	if parts[0] == "" || parts[1] == "" {
+		return Nil, fmt.Errorf("loid: %q: empty domain or class", s)
+	}
+	n, err := strconv.ParseUint(parts[2], 10, 64)
+	if err != nil {
+		return Nil, fmt.Errorf("loid: %q: bad instance: %v", s, err)
+	}
+	l := LOID{Domain: parts[0], Class: parts[1], Instance: n}
+	if l.IsNil() {
+		return Nil, fmt.Errorf("loid: %q parses to the nil LOID", s)
+	}
+	return l, nil
+}
+
+func checkParseOracle(t *testing.T, s string) {
+	t.Helper()
+	got, err := Parse(s)
+	want, werr := splitParse(s)
+	if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("Parse(%q) = %v, %v; oracle %v, %v", s, got, err, want, werr)
+	}
+	if err == nil {
+		again, err := Parse(got.String())
+		if err != nil || again != got {
+			t.Fatalf("Parse(%q.String()) = %v, %v; want %v", s, again, err, got)
+		}
+	}
+}
+
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"legion:nil", "legion:uva/Host/1", "legion:a/b/1/2", "legion:a/b/",
+		"legion:/b/1", "legion:a//1", "legion:a/b/1/", "legion:", "",
+		"legion:a/b/18446744073709551615", "legion:a/b/18446744073709551616",
+		"legion:a/b/+1", "legion:a/b/0", "legion:a/b/007", "x",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(checkParseOracle)
+}
+
+func TestStringMatchesSprintf(t *testing.T) {
+	for _, l := range []LOID{
+		{Domain: "uva", Class: "Host", Instance: 1},
+		{Domain: "a.b", Class: "Vault", Instance: 1<<64 - 1},
+		{Domain: "x", Class: "", Instance: 0},
+	} {
+		if got, want := l.String(), fmt.Sprintf("legion:%s/%s/%d", l.Domain, l.Class, l.Instance); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+func TestParseAllocFree(t *testing.T) {
+	s := LOID{Domain: "uva", Class: "Vault", Instance: 12345}.String()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Parse(%q): %v allocs/op, want 0", s, n)
+	}
 }

@@ -31,7 +31,9 @@ func (m MapRecord) Lookup(name string) (attr.Value, bool) {
 type Func func(rec Record, args []attr.Value) (attr.Value, error)
 
 // Env is an evaluation environment: the record under test plus any
-// injected functions. Envs are cheap to construct per record.
+// injected functions. A scan reuses one Env across records, setting Rec
+// for each; injected functions receive the record, never the Env, so none
+// can retain a stale one.
 type Env struct {
 	// Rec is the record the query runs against.
 	Rec Record

@@ -1,6 +1,7 @@
 package reservation
 
 import (
+	"encoding/hex"
 	"errors"
 	"sync"
 	"testing"
@@ -448,5 +449,60 @@ func TestOverlapsHelper(t *testing.T) {
 		if got := tok.Overlaps(base.Add(c.s), base.Add(c.e)); got != c.want {
 			t.Errorf("Overlaps(%v,%v) = %v want %v", c.s, c.e, got, c.want)
 		}
+	}
+}
+
+// TestSignerGoldenMAC pins the MAC byte stream: these values were computed
+// by the original hmac.New + fmt-rendered-LOID implementation, so any
+// change to how fields are serialized into the HMAC shows up here.
+func TestSignerGoldenMAC(t *testing.T) {
+	s := NewSignerWithKey([]byte("0123456789abcdef0123456789abcdef"))
+	cases := []struct {
+		tok  Token
+		want string
+	}{
+		{Token{ID: 42, Host: loid.LOID{Domain: "uva", Class: "Host", Instance: 7},
+			Vault: loid.LOID{Domain: "sdsc", Class: "Vault", Instance: 1 << 40},
+			Type:  ReusableTimesharing, Start: time.Date(1999, 4, 12, 12, 0, 0, 123, time.UTC),
+			Duration: time.Hour, Timeout: 30 * time.Second},
+			"420c81a85e3865a35c7d91804586de0914bc5c06dee84a9c9e5d9cd150a08af7"},
+		// Nil vault renders as "legion:nil"; zero Start is pre-epoch.
+		{Token{ID: 1, Host: loid.LOID{Domain: "uva", Class: "Host", Instance: 1}, Type: OneShotSpaceSharing},
+			"6552a3f3f7fdeacce94605738224c897a28b010acb571c0e8630bb45c2cd1127"},
+	}
+	for i, c := range cases {
+		tok := c.tok
+		// Sign twice so the second MAC comes from a reused HMAC state.
+		for round := 0; round < 2; round++ {
+			s.Sign(&tok)
+			if got := hex.EncodeToString(tok.MAC); got != c.want {
+				t.Errorf("case %d round %d: MAC %s, want %s", i, round, got, c.want)
+			}
+			if !s.Valid(&tok) {
+				t.Errorf("case %d round %d: own token invalid", i, round)
+			}
+		}
+	}
+}
+
+// TestSignerAllocBudget: Valid allocates nothing and Sign only the MAC
+// slice it stores, so per-reservation signing stays off the GC.
+func TestSignerAllocBudget(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("race and coverage instrumentation allocate")
+	}
+	s := NewSignerWithKey([]byte("0123456789abcdef0123456789abcdef"))
+	tok := Token{ID: 9, Host: hostL, Vault: vaultL, Type: OneShotTimesharing,
+		Start: time.Unix(1000, 0), Duration: time.Minute}
+	s.Sign(&tok)
+	if n := testing.AllocsPerRun(200, func() { s.Sign(&tok) }); n > 1 {
+		t.Errorf("Sign: %v allocs/op, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !s.Valid(&tok) {
+			t.Fatal("token invalid")
+		}
+	}); n != 0 {
+		t.Errorf("Valid: %v allocs/op, want 0", n)
 	}
 }

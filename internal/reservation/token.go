@@ -29,6 +29,8 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
+	"sync"
 	"time"
 
 	"legion/internal/loid"
@@ -100,7 +102,17 @@ func (t *Token) Overlaps(start, end time.Time) bool {
 // Signer mints and validates tokens for one Host. The key never leaves
 // the host; other objects treat tokens as opaque.
 type Signer struct {
-	key []byte
+	key  []byte
+	pool sync.Pool // of *macState keyed with key
+}
+
+// macState is one reusable HMAC computation: the keyed hash plus scratch
+// space for the authenticated byte stream and the sum, so a MAC costs no
+// allocation beyond the slice Sign stores.
+type macState struct {
+	h   hash.Hash
+	buf []byte
+	sum [sha256.Size]byte
 }
 
 // NewSigner creates a Signer with a fresh random 32-byte key.
@@ -119,21 +131,20 @@ func NewSignerWithKey(key []byte) *Signer {
 	return &Signer{key: k}
 }
 
-// mac computes the HMAC over every authenticated token field.
-func (s *Signer) mac(t *Token) []byte {
-	h := hmac.New(sha256.New, s.key)
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// state takes a pooled HMAC state, keying a fresh one when the pool is
+// empty. Callers return it with s.pool.Put.
+func (s *Signer) state() *macState {
+	if st, ok := s.pool.Get().(*macState); ok {
+		return st
 	}
-	writeLOID := func(l loid.LOID) {
-		h.Write([]byte(l.String()))
-		h.Write([]byte{0})
-	}
-	put(t.ID)
-	writeLOID(t.Host)
-	writeLOID(t.Vault)
+	return &macState{h: hmac.New(sha256.New, s.key)}
+}
+
+// mac computes the HMAC over every authenticated token field into st.sum.
+// The byte stream is fixed: ID, host LOID string, NUL, vault LOID string,
+// NUL, type bits, start (Unix ns), duration, timeout — integers as 8-byte
+// big-endian.
+func (s *Signer) mac(st *macState, t *Token) []byte {
 	var bits uint64
 	if t.Type.Share {
 		bits |= 1
@@ -141,18 +152,31 @@ func (s *Signer) mac(t *Token) []byte {
 	if t.Type.Reuse {
 		bits |= 2
 	}
-	put(bits)
-	put(uint64(t.Start.UnixNano()))
-	put(uint64(t.Duration))
-	put(uint64(t.Timeout))
-	return h.Sum(nil)
+	b := binary.BigEndian.AppendUint64(st.buf[:0], t.ID)
+	b = append(t.Host.AppendTo(b), 0)
+	b = append(t.Vault.AppendTo(b), 0)
+	b = binary.BigEndian.AppendUint64(b, bits)
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Start.UnixNano()))
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Duration))
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Timeout))
+	st.buf = b
+	st.h.Reset()
+	st.h.Write(b)
+	return st.h.Sum(st.sum[:0])
 }
 
 // Sign sets the token's MAC.
-func (s *Signer) Sign(t *Token) { t.MAC = s.mac(t) }
+func (s *Signer) Sign(t *Token) {
+	st := s.state()
+	t.MAC = append([]byte(nil), s.mac(st, t)...)
+	s.pool.Put(st)
+}
 
 // Valid reports whether the token's MAC is genuine under this signer's
 // key. Any field mutation or forgery attempt fails.
 func (s *Signer) Valid(t *Token) bool {
-	return hmac.Equal(t.MAC, s.mac(t))
+	st := s.state()
+	ok := hmac.Equal(t.MAC, s.mac(st, t))
+	s.pool.Put(st)
+	return ok
 }

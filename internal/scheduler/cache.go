@@ -22,11 +22,14 @@ import (
 // and staleness is bounded by the same figure the Collection's own pull
 // interval already imposes.
 //
-// The cached slice is handed out shared and must be treated as
-// read-only; every shipped Generator honors this by filtering through
-// usable(), which copies into a fresh backing array before any in-place
-// reorder. Time comes from the supplied Clock, so under a virtual clock
-// the TTL expires in virtual time along with everything else.
+// The cached slices are handed out shared and must be treated as
+// read-only, down to each host's Vaults. Generators that only index into
+// the fleet (Random, IRS, ParamSpace) read the usable() view computed
+// once at fill through matchingUsableHosts; generators that sort or
+// shuffle in place filter through usable(), which copies into a fresh
+// backing array first. Time comes from the supplied Clock, so under a
+// virtual clock the TTL expires in virtual time along with everything
+// else.
 type HostCache struct {
 	clock vclock.Clock
 	ttl   time.Duration
@@ -71,8 +74,8 @@ func (c *HostCache) get(query string) ([]HostInfo, int, bool) {
 // getUsable is get returning the usable-filtered view instead. The
 // returned slice is shared across every placement in the TTL window and
 // MUST be treated as read-only; it exists so non-mutating generators
-// (Random) can skip the per-placement filter copy, which at 100k hosts
-// is the placement path's dominant allocation.
+// (Random, IRS, ParamSpace) can skip the per-placement filter copy, which
+// at 100k hosts is the placement path's dominant allocation.
 func (c *HostCache) getUsable(query string) ([]HostInfo, int, bool) {
 	now := c.clock.Now()
 	c.mu.Lock()
@@ -86,15 +89,17 @@ func (c *HostCache) getUsable(query string) ([]HostInfo, int, bool) {
 	return e.usable, e.skipped, true
 }
 
-// put stores a freshly fetched result, first sweeping out every expired
-// entry. Without the sweep, entries are only ever overwritten (same
-// query string) or mass-dropped by Invalidate, so a workload whose query
-// strings vary — per-class filters, per-tenant predicates — leaks one
-// parsed fleet snapshot per distinct string forever. Sweeping here keeps
+// put stores a freshly fetched result and returns its usable() view, the
+// same shared read-only slice later getUsable hits return. It first
+// sweeps out every expired entry. Without the sweep, entries are only
+// ever overwritten (same query string) or mass-dropped by Invalidate, so
+// a workload whose query strings vary — per-class filters, per-tenant
+// predicates — leaks one parsed fleet snapshot per distinct string
+// forever. Sweeping here keeps
 // the map bounded by the number of query shapes live within one TTL, at
 // O(entries) per put; puts happen at most once per TTL per shape, so the
 // sweep never dominates the fetch it rides on.
-func (c *HostCache) put(query string, hosts []HostInfo, skipped int) {
+func (c *HostCache) put(query string, hosts []HostInfo, skipped int) []HostInfo {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,10 +109,12 @@ func (c *HostCache) put(query string, hosts []HostInfo, skipped int) {
 			c.evicted++
 		}
 	}
-	c.entries[query] = hostCacheEntry{
+	e := hostCacheEntry{
 		hosts: hosts, usable: usable(hosts),
 		skipped: skipped, fetched: now,
 	}
+	c.entries[query] = e
+	return e.usable
 }
 
 // Invalidate drops every entry, forcing the next query of each shape to

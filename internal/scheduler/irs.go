@@ -43,11 +43,11 @@ func (g IRS) Generate(ctx context.Context, env *Env, req Request) (sched.Request
 	for _, cr := range req.Classes {
 		// One class-implementations query + one Collection lookup per
 		// class — this is the lookup economy over calling Random n times.
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		// IRS only indexes into hosts, so it reads the shared view.
+		hosts, err := matchingUsableHosts(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
 		if len(hosts) == 0 {
 			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
 		}

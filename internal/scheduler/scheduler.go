@@ -125,19 +125,19 @@ func (e *Env) call(ctx context.Context, target loid.LOID, method string, arg any
 
 // HostInfo is a scheduler's parsed view of one Collection host record.
 type HostInfo struct {
-	LOID   loid.LOID
-	Arch   string
-	OS     string
-	Load   float64
-	CPUs   int
-	Zone   string
-	Cost   float64
+	LOID loid.LOID
+	Arch string
+	OS   string
+	Load float64
+	CPUs int
+	Zone string
+	Cost float64
 	// Price is the economy layer's advertised charge per instance-hour
 	// ($host_price); Spot marks preemptible spot capacity ($host_class
 	// == "spot"). The DeadlineBudget generator trades Price against
 	// estimated completion time.
-	Price  float64
-	Spot   bool
+	Price float64
+	Spot  bool
 	// Speed is the host's relative benchmark speed ($host_speed,
 	// 1.0 = baseline); deadline-aware schedulers scale completion
 	// estimates by it.
@@ -220,8 +220,9 @@ func QueryHosts(ctx context.Context, env *Env, querySrc string) ([]HostInfo, err
 
 // matchingUsableHosts is matchingHosts pre-filtered through usable().
 // The returned slice may be the cache's shared filtered view: callers
-// MUST NOT reorder or mutate it. Generators that sort or shuffle in
-// place use matchingHosts + usable() (which copies) instead.
+// MUST NOT reorder it or write to it, a host's Vaults and LoadHistory
+// included. Generators that sort or shuffle in place use matchingHosts +
+// usable() (which copies) instead.
 func matchingUsableHosts(ctx context.Context, env *Env, class loid.LOID) ([]HostInfo, error) {
 	impls, err := queryClassImpls(ctx, env, class)
 	if err != nil {
@@ -233,11 +234,12 @@ func matchingUsableHosts(ctx context.Context, env *Env, class loid.LOID) ([]Host
 			return hosts, nil
 		}
 	}
-	hosts, _, err := QueryHostsPartial(ctx, env, querySrc)
-	if err != nil {
-		return nil, err
+	hosts, view, _, err := fetchHosts(ctx, env, querySrc)
+	if err != nil || env.Cache != nil {
+		return view, err
 	}
-	return usable(hosts), nil
+	// Nothing else holds the fresh slice: filter it in place.
+	return filterUsable(hosts, hosts[:0]), nil
 }
 
 // QueryHostsPartial is QueryHosts surfacing the federation layer's
@@ -252,90 +254,124 @@ func QueryHostsPartial(ctx context.Context, env *Env, querySrc string) (hosts []
 			return hosts, skipped, nil
 		}
 	}
+	hosts, _, skipped, err = fetchHosts(ctx, env, querySrc)
+	return hosts, skipped, err
+}
+
+// fetchHosts runs the Collection query behind QueryHostsPartial. With a
+// cache it stores the result and also returns the usable() view put
+// computed, which shares the cache's read-only contract; without one,
+// view is nil.
+func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts, view []HostInfo, skipped int, err error) {
 	cctx, cancel := env.RT.Clock().WithTimeout(ctx, env.timeout())
 	defer cancel()
 	res, err := env.call(cctx, env.Collection, proto.MethodQueryCollection,
 		proto.QueryArgs{Query: querySrc})
 	if err != nil {
-		return nil, 0, fmt.Errorf("scheduler: collection query: %w", err)
+		return nil, nil, 0, fmt.Errorf("scheduler: collection query: %w", err)
 	}
 	reply, ok := res.(proto.QueryReply)
 	if !ok {
-		return nil, 0, fmt.Errorf("scheduler: unexpected reply %T", res)
+		return nil, nil, 0, fmt.Errorf("scheduler: unexpected reply %T", res)
 	}
-	hosts = make([]HostInfo, 0, len(reply.Records))
-	for _, rec := range reply.Records {
-		hosts = append(hosts, parseHostInfo(rec))
+	hosts = make([]HostInfo, len(reply.Records))
+	vaults := make([]loid.LOID, 0, vaultCount(reply.Records))
+	for i, rec := range reply.Records {
+		hosts[i], vaults = parseHostInfo(rec, vaults)
 	}
 	// Deterministic base order; randomized policies shuffle explicitly.
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].LOID.Less(hosts[j].LOID) })
 	if env.Cache != nil {
-		env.Cache.put(querySrc, hosts, reply.SkippedShards)
+		view = env.Cache.put(querySrc, hosts, reply.SkippedShards)
 	}
-	return hosts, reply.SkippedShards, nil
+	return hosts, view, reply.SkippedShards, nil
 }
 
-// parseHostInfo converts a Collection record into a HostInfo.
-func parseHostInfo(rec proto.CollectionRecord) HostInfo {
-	m := attr.FromPairs(rec.Attrs)
+// vaultCount bounds the vault LOIDs parseHostInfo can produce for recs,
+// so one slab holds every host's Vaults.
+func vaultCount(recs []proto.CollectionRecord) int {
+	n := 0
+	for _, rec := range recs {
+		for _, p := range rec.Attrs {
+			if p.Name == "host_vaults" {
+				n += p.Value.Len()
+			}
+		}
+	}
+	return n
+}
+
+// parseHostInfo converts a Collection record into a HostInfo in a single
+// walk over its attributes. A repeated name overrides earlier ones, as in
+// the record's map form, so each case assigns its fields outright. Vault
+// LOIDs are appended to the caller's slab, which is returned; h.Vaults is
+// a capacity-capped window of it, so an append to one host's Vaults
+// reallocates rather than overwriting the next host's entries.
+func parseHostInfo(rec proto.CollectionRecord, slab []loid.LOID) (HostInfo, []loid.LOID) {
 	h := HostInfo{LOID: rec.Member}
-	if v, ok := m["host_arch"]; ok {
-		h.Arch = v.Str()
-	}
-	if v, ok := m["host_os_name"]; ok {
-		h.OS = v.Str()
-	}
-	if v, ok := m["host_load"]; ok {
-		h.Load, _ = v.AsFloat()
-	}
-	if v, ok := m["host_cpus"]; ok {
-		if f, fok := v.AsFloat(); fok {
+	start := len(slab)
+	for _, p := range rec.Attrs {
+		v := p.Value
+		switch p.Name {
+		case "host_arch":
+			h.Arch = v.Str()
+		case "host_os_name":
+			h.OS = v.Str()
+		case "host_load":
+			h.Load, _ = v.AsFloat()
+		case "host_cpus":
+			f, _ := v.AsFloat()
 			h.CPUs = int(f)
-		}
-	}
-	if v, ok := m["host_zone"]; ok {
-		h.Zone = v.Str()
-	}
-	if v, ok := m["host_cost_per_cpu"]; ok {
-		h.Cost, _ = v.AsFloat()
-	}
-	if v, ok := m["host_price"]; ok {
-		h.Price, _ = v.AsFloat()
-	}
-	if v, ok := m["host_class"]; ok {
-		h.Spot = v.Str() == "spot"
-	}
-	if v, ok := m["host_speed"]; ok {
-		h.Speed, _ = v.AsFloat()
-	}
-	if v, ok := m["host_is_batch"]; ok {
-		h.Batch = v.BoolVal()
-	}
-	if v, ok := m["host_alive"]; ok {
-		h.Down = !v.BoolVal()
-	}
-	if v, ok := m["host_load_history"]; ok && v.Kind() == attr.KindList {
-		for i := 0; i < v.Len(); i++ {
-			if f, fok := v.At(i).AsFloat(); fok {
-				h.LoadHistory = append(h.LoadHistory, f)
+		case "host_zone":
+			h.Zone = v.Str()
+		case "host_cost_per_cpu":
+			h.Cost, _ = v.AsFloat()
+		case "host_price":
+			h.Price, _ = v.AsFloat()
+		case "host_class":
+			h.Spot = v.Str() == "spot"
+		case "host_speed":
+			h.Speed, _ = v.AsFloat()
+		case "host_is_batch":
+			h.Batch = v.BoolVal()
+		case "host_alive":
+			h.Down = !v.BoolVal()
+		case "host_load_history":
+			h.LoadHistory = nil
+			if v.Kind() == attr.KindList {
+				for i := 0; i < v.Len(); i++ {
+					if f, fok := v.At(i).AsFloat(); fok {
+						h.LoadHistory = append(h.LoadHistory, f)
+					}
+				}
+			}
+		case "host_vaults":
+			slab = slab[:start]
+			if v.Kind() == attr.KindList {
+				for i := 0; i < v.Len(); i++ {
+					if l, err := loid.Parse(v.At(i).Str()); err == nil {
+						slab = append(slab, l)
+					}
+				}
 			}
 		}
 	}
-	if v, ok := m["host_vaults"]; ok && v.Kind() == attr.KindList {
-		for i := 0; i < v.Len(); i++ {
-			if l, err := loid.Parse(v.At(i).Str()); err == nil {
-				h.Vaults = append(h.Vaults, l)
-			}
-		}
+	if end := len(slab); end > start {
+		h.Vaults = slab[start:end:end]
 	}
-	return h
+	return h, slab
 }
 
 // usable filters hosts that have at least one compatible vault — a host
 // with no vault cannot run anything (objects need OPR storage) — and are
 // not flagged down by the failure detector.
 func usable(hosts []HostInfo) []HostInfo {
-	out := hosts[:0:0]
+	return filterUsable(hosts, hosts[:0:0])
+}
+
+// filterUsable appends the usable hosts to out. Passing hosts[:0] filters
+// in place.
+func filterUsable(hosts, out []HostInfo) []HostInfo {
 	for _, h := range hosts {
 		if len(h.Vaults) > 0 && !h.Down {
 			out = append(out, h)
