@@ -13,8 +13,8 @@
 //   - Slow: a site answers with injected latency.
 //
 // Faults on the same runtime stack: Flaky and Partition compose, and
-// Heal removes everything. Tests drive workloads (typically
-// core.PlaceApplication) against the wounded world and assert the
+// Heal removes everything. Tests drive workloads (core.PlaceApplication,
+// or open-loop sim.Drive storms) against the wounded world and assert the
 // resilience layer's behaviour: retries absorb flakiness, breakers and
 // error classification turn dead endpoints into fast fallbacks, and
 // failed negotiations leave no orphaned reservations behind.

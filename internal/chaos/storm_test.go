@@ -7,6 +7,8 @@ import (
 
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sched"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 )
 
@@ -28,6 +30,29 @@ func stormWorld(t *testing.T, opts core.Options) (*World, *telemetry.Registry) {
 	return w, reg
 }
 
+// storm fires an open-loop uniform storm of rate placements/s for dur
+// at site s's Worker class, each request bounded by deadline and taking
+// its reservation priority from prios in turn (priority 0 when empty).
+// Every placement queries the Collection afresh: no snapshot cache.
+func storm(w *World, s *Site, rate float64, dur, deadline time.Duration, prios ...int) *sim.DriverResult {
+	class, _ := s.MS.Class("Worker")
+	cfg := sim.DriverConfig{
+		Rate:        rate,
+		Requests:    int(rate * dur.Seconds()),
+		Arrivals:    sim.Uniform,
+		Seed:        w.Seed(),
+		Deadline:    deadline,
+		SnapshotTTL: -1,
+	}
+	if len(prios) > 0 {
+		cfg.Spec = func(i int) sched.ReservationSpec {
+			return sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour,
+				Priority: prios[i%len(prios)]}
+		}
+	}
+	return sim.Drive(context.Background(), s.MS, class, cfg)
+}
+
 // TestOverloadStormConservation is the storm-level conservation check:
 // after an overload storm against an admission-controlled site drains,
 // every shed must have been a pure refusal — zero reservations and zero
@@ -47,15 +72,11 @@ func TestOverloadStormConservation(t *testing.T) {
 	// sub-millisecond and no storm rate shrugs the gate.
 	w.Slow(site, 10*time.Millisecond, 2*time.Millisecond)
 
-	res := w.Storm(context.Background(), site, StormConfig{
-		Rate:       250, // ~5x the E11 base rate
-		Duration:   400 * time.Millisecond,
-		Deadline:   250 * time.Millisecond,
-		Priorities: []int{0, 0, 0, 1},
-	})
+	// ~5x the E11 base rate.
+	res := storm(w, site, 250, 400*time.Millisecond, 250*time.Millisecond, 0, 0, 0, 1)
 	t.Logf("seed %d: offered=%d ok=%d shed=%d failed=%d goodput=%.1f/s p99=%v shedByPrio=%v",
 		w.Seed(), res.Offered, res.Succeeded, res.Shed, res.Failed,
-		res.Goodput(), res.P99(), res.ShedByPriority)
+		res.Goodput(), res.Percentile(0.99), res.ShedByPriority)
 
 	if res.Offered == 0 {
 		t.Fatal("storm fired nothing")
@@ -91,11 +112,7 @@ func TestOverloadStormUncontrolledBaseline(t *testing.T) {
 	w, reg := stormWorld(t, core.Options{Seed: 1})
 	site := w.Sites[0]
 
-	res := w.Storm(context.Background(), site, StormConfig{
-		Rate:     250,
-		Duration: 400 * time.Millisecond,
-		Deadline: 250 * time.Millisecond,
-	})
+	res := storm(w, site, 250, 400*time.Millisecond, 250*time.Millisecond)
 	t.Logf("seed %d: offered=%d ok=%d shed=%d failed=%d",
 		w.Seed(), res.Offered, res.Succeeded, res.Shed, res.Failed)
 

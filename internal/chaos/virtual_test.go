@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -47,12 +46,7 @@ func TestVirtualStormDeterministicTrace(t *testing.T) {
 
 		vc.StartTrace()
 		vc.Run(func() {
-			res := w.Storm(context.Background(), site, StormConfig{
-				Rate:       500,
-				Duration:   100 * time.Millisecond,
-				Deadline:   200 * time.Millisecond,
-				Priorities: []int{0, 0, 1},
-			})
+			res := storm(w, site, 500, 100*time.Millisecond, 200*time.Millisecond, 0, 0, 1)
 			if res.Offered == 0 {
 				t.Error("storm offered nothing")
 			}

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"legion/internal/chaos"
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 	"legion/internal/vclock"
 )
@@ -57,15 +57,10 @@ func TestE11DifferentialVirtualClock(t *testing.T) {
 		site := w.Sites[0]
 		w.Slow(site, 5*time.Millisecond, time.Millisecond)
 
-		var res *chaos.StormResult
+		var res *sim.DriverResult
 		var resv, running int
 		body := func() {
-			res = w.Storm(context.Background(), site, chaos.StormConfig{
-				Rate:       200,
-				Duration:   250 * time.Millisecond,
-				Deadline:   250 * time.Millisecond,
-				Priorities: []int{0, 0, 0, 1},
-			})
+			res = overloadStorm(w, site, 200, 250*time.Millisecond, 250*time.Millisecond)
 			resv, running = w.Quiesce(site, 2*time.Second)
 		}
 		if vc != nil {

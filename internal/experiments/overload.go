@@ -8,6 +8,8 @@ import (
 	"legion/internal/chaos"
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sched"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 )
 
@@ -52,7 +54,7 @@ func E11OverloadAdmission(multipliers []float64, stormDur time.Duration) *Table 
 			mode = "on"
 		}
 		t.AddRow(load, mode, row.Offered, row.Succeeded,
-			row.Shed, row.Failed, fmt.Sprintf("%.1f", row.Goodput()), row.P99(),
+			row.Shed, row.Failed, fmt.Sprintf("%.1f", row.Goodput()), row.Percentile(0.99),
 			row.leaks, row.breakersOpened)
 		return row
 	}
@@ -79,7 +81,7 @@ func E11OverloadAdmission(multipliers []float64, stormDur time.Duration) *Table 
 
 // overloadRow is one storm's result plus its conservation counters.
 type overloadRow struct {
-	*chaos.StormResult
+	*sim.DriverResult
 	leaks          int
 	breakersOpened int64
 }
@@ -105,7 +107,7 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 	w, err := chaos.NewWorld(chaos.SeedFromEnv(11), opts,
 		chaos.SiteSpec{Domain: "uva", Hosts: 4})
 	if err != nil {
-		return overloadRow{StormResult: &chaos.StormResult{}}
+		return overloadRow{DriverResult: &sim.DriverResult{}}
 	}
 	defer w.Close()
 	site := w.Sites[0]
@@ -113,12 +115,7 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 		w.Slow(site, 10*time.Millisecond, 2*time.Millisecond)
 	}
 
-	res := w.Storm(context.Background(), site, chaos.StormConfig{
-		Rate:       rate,
-		Duration:   dur,
-		Deadline:   300 * time.Millisecond,
-		Priorities: []int{0, 0, 0, 1},
-	})
+	res := overloadStorm(w, site, rate, dur, 300*time.Millisecond)
 
 	// Quiesce, then check conservation: a shed must be a pure refusal.
 	// The wait matters — server-side rollbacks may still be in flight
@@ -126,5 +123,26 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 	resv, running := w.Quiesce(site, 2*time.Second)
 	leaks := resv + running
 	opened := reg.CounterValue("legion_breaker_transitions_total", "to", "open")
-	return overloadRow{StormResult: res, leaks: leaks, breakersOpened: opened}
+	return overloadRow{DriverResult: res, leaks: leaks, breakersOpened: opened}
+}
+
+// overloadStorm fires E11's open-loop storm at site s's Worker class:
+// uniform arrivals at rate for dur, each request bounded by deadline,
+// priorities cycling 0,0,0,1. Snapshot caching is off, so every
+// placement queries the Collection and the overload reaches it.
+func overloadStorm(w *chaos.World, s *chaos.Site, rate float64, dur, deadline time.Duration) *sim.DriverResult {
+	class, _ := s.MS.Class("Worker")
+	prios := [...]int{0, 0, 0, 1}
+	return sim.Drive(context.Background(), s.MS, class, sim.DriverConfig{
+		Rate:     rate,
+		Requests: int(rate * dur.Seconds()),
+		Arrivals: sim.Uniform,
+		Seed:     w.Seed(),
+		Deadline: deadline,
+		Spec: func(i int) sched.ReservationSpec {
+			return sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour,
+				Priority: prios[i%len(prios)]}
+		},
+		SnapshotTTL: -1,
+	})
 }

@@ -60,12 +60,6 @@ type Predictive struct {
 	Predictor nws.Predictor
 }
 
-// NewPredictive returns the forecast-driven policy at the given
-// watermark (<= 0 means 0.8).
-func NewPredictive(watermark float64) *Predictive {
-	return &Predictive{Watermark: watermark, MaxShedPerEvent: 1}
-}
-
 func (p *Predictive) predictor() nws.Predictor {
 	if p.Predictor != nil {
 		return p.Predictor

@@ -92,8 +92,7 @@ func (c *HostCache) getUsable(query string) ([]HostInfo, int, bool) {
 // put stores a freshly fetched result and returns its usable() view, the
 // same shared read-only slice later getUsable hits return. It first
 // sweeps out every expired entry. Without the sweep, entries are only
-// ever overwritten (same query string) or mass-dropped by Invalidate, so
-// a workload whose query strings vary — per-class filters, per-tenant
+// ever overwritten (same query string), so a workload whose query strings vary — per-class filters, per-tenant
 // predicates — leaks one parsed fleet snapshot per distinct string
 // forever. Sweeping here keeps
 // the map bounded by the number of query shapes live within one TTL, at
@@ -115,15 +114,6 @@ func (c *HostCache) put(query string, hosts []HostInfo, skipped int) []HostInfo 
 	}
 	c.entries[query] = e
 	return e.usable
-}
-
-// Invalidate drops every entry, forcing the next query of each shape to
-// refetch. Drivers call it after events that change the fleet (hosts
-// added, mass load shifts) when they cannot wait out the TTL.
-func (c *HostCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.entries)
 }
 
 // Stats reports cache hits and misses since creation.

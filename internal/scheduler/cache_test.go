@@ -11,7 +11,7 @@ import (
 
 // TestHostCacheEvictsExpiredEntries regresses the unbounded-growth leak:
 // expired entries were only ever overwritten by a put of the same query
-// string or mass-dropped by Invalidate, so a workload with varying query
+// string, so a workload with varying query
 // strings (per-class filters, per-tenant predicates) grew the map by one
 // dead fleet snapshot per distinct string forever. put must sweep them.
 func TestHostCacheEvictsExpiredEntries(t *testing.T) {

@@ -3,13 +3,15 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"legion/internal/classobj"
+	"legion/internal/core"
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
@@ -24,12 +26,18 @@ const (
 	// Poisson draws exponential inter-arrival gaps with mean 1/Rate —
 	// independent clients, the honest open-loop default.
 	Poisson ArrivalProcess = iota
-	// Uniform fires exactly every 1/Rate — a metronome, useful when an
-	// experiment wants latency variance attributable to the system alone.
+	// Uniform fires exactly every 1/Rate, request i at start + i/Rate — a
+	// metronome, useful when an experiment wants latency variance
+	// attributable to the system alone.
 	Uniform
-	// Bursty fires BurstSize arrivals back-to-back, then idles so the
-	// long-run rate still averages Rate — flash-crowd shapes.
-	Bursty
+)
+
+// Every placement gets at most 2 scheduling rounds of 1 enactment try
+// each, so an overloaded run fails fast instead of multiplying its
+// offered load with retries.
+const (
+	driverSchedTries = 2
+	driverEnactTries = 1
 )
 
 // DriverConfig shapes one open-loop placement workload replay.
@@ -45,9 +53,6 @@ type DriverConfig struct {
 	Requests int
 	// Arrivals picks the arrival process; default Poisson.
 	Arrivals ArrivalProcess
-	// BurstSize is the arrivals per burst for Bursty; <= 1 degenerates
-	// to Uniform.
-	BurstSize int
 	// Seed drives the arrival gaps and every placement's random choices.
 	// Each request r uses an independent stream derived from (Seed, r),
 	// so placement decisions do not depend on goroutine interleaving —
@@ -57,48 +62,41 @@ type DriverConfig struct {
 	Instances int
 	// Deadline bounds each request (client patience); zero = unbounded.
 	Deadline time.Duration
-	// Priority stamps every request's reservation spec.
-	Priority int
-	// Spec, when non-nil, overrides the reservation spec for request i
-	// (economy campaigns stamp Tenant/Deadline/Budget per request); nil
-	// keeps the default shared hour-long reusable spec with Priority.
+	// Spec, when non-nil, gives request i's reservation spec (economy
+	// campaigns stamp Tenant/Deadline/Budget, overload storms cycle
+	// Priority); nil keeps a shared hour-long reusable priority-0 spec.
+	// It is called once per request, on the request's goroutine, as the
+	// request fires (exactly at its arrival instant under a virtual
+	// clock).
 	Spec func(i int) sched.ReservationSpec
 	// Generator computes schedules; nil means scheduler.Random{}.
 	Generator scheduler.Generator
-	// Wrapper bounds the Figure 9 retry protocol; zero limits default to
-	// the storm's tight (2 scheduling rounds, 1 enactment try) so an
-	// overloaded run fails fast instead of multiplying offered load.
-	Wrapper scheduler.Wrapper
 	// SnapshotTTL bounds host-snapshot staleness: placements within the
 	// TTL share one parsed Collection snapshot (scheduler.HostCache)
 	// instead of re-reading the whole directory per request. Zero means
 	// 5s — commensurate with the Collection's own pull interval, per the
 	// §3.2 staleness license. Negative disables caching.
 	SnapshotTTL time.Duration
-	// KeepInstances leaves successful placements running instead of
-	// tearing them down; default false so capacity is conserved and the
-	// post-run audit expects an empty metasystem.
-	KeepInstances bool
 	// Observe, when non-nil, is called with each successful placement's
 	// outcome (request index, resolved schedule) before teardown. It
 	// runs on the placement's goroutine and must be safe for concurrent
 	// use; economy campaigns judge per-request deadline fit here.
 	Observe func(i int, out *scheduler.Outcome)
-	// Progress, when non-nil, is called after every arrival with
-	// (offered, total).
-	Progress func(done, total int)
 }
 
 // DriverResult aggregates one replay.
 type DriverResult struct {
 	Offered   int
 	Succeeded int
-	// Shed counts typed overload refusals; Failed everything else.
+	// Shed counts typed overload refusals; Failed everything else
+	// (deadline expiries, reservation conflicts, transport faults).
 	Shed, Failed int
+	// ShedByPriority splits Shed by the request's reservation priority.
+	ShedByPriority map[int]int
 	// Latencies holds each successful placement's latency on the
 	// driving clock (virtual time under a virtual clock).
 	Latencies []time.Duration
-	// Elapsed is the whole replay on the driving clock.
+	// Elapsed is the whole replay on the driving clock, drain included.
 	Elapsed time.Duration
 	// CacheHits/CacheMisses report snapshot reuse.
 	CacheHits, CacheMisses int64
@@ -112,21 +110,16 @@ func (r *DriverResult) Goodput() float64 {
 	return float64(r.Succeeded) / r.Elapsed.Seconds()
 }
 
-// Percentile returns the q-quantile (0 < q <= 1) success latency.
+// Percentile returns the nearest-rank q-quantile (0 < q <= 1) success
+// latency, 0 with no successes.
 func (r *DriverResult) Percentile(q float64) time.Duration {
 	if len(r.Latencies) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), r.Latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(q*float64(len(sorted))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	slices.Sort(sorted)
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
 }
 
 // splitmix is a tiny rand.Source64 (SplitMix64). The driver derives one
@@ -148,19 +141,27 @@ func (s *splitmix) Uint64() uint64 {
 func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
+// isOverloadErr reports whether err is (or wraps, on either side of the
+// wire) the typed proto.ErrOverload shed. Cross-runtime calls flatten
+// sentinel identity into a RemoteError message, so the check falls back
+// to the message text the same way resilient.Classify does.
 func isOverloadErr(err error) bool {
 	return err != nil && (errors.Is(err, proto.ErrOverload) ||
 		strings.Contains(err.Error(), proto.ErrOverload.Error()))
 }
 
-// Drive replays an open-loop workload of cfg.Requests placements of the
-// given class against the fleet's metasystem, through the production
-// pipeline (Generator → Wrapper → Enactor → Hosts), and returns the
-// tallied result. Successful placements are torn down unless
-// cfg.KeepInstances, so repeated replays see the same capacity and the
-// caller's conservation audit can expect an empty site.
+// Drive runs the package-level Drive against the fleet's metasystem.
 func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConfig) *DriverResult {
-	ms := f.MS
+	return Drive(ctx, f.MS, class, cfg)
+}
+
+// Drive replays an open-loop workload of cfg.Requests placements of the
+// given class against ms, through the production pipeline (Generator →
+// Wrapper → Enactor → Hosts), waits for every request to resolve, and
+// returns the tallied result. Successful placements are torn down, so
+// repeated replays see the same capacity and the caller's conservation
+// audit can expect an empty site.
+func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg DriverConfig) *DriverResult {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = ms.Runtime().Clock()
@@ -172,12 +173,7 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 	if gen == nil {
 		gen = scheduler.Random{}
 	}
-	if cfg.Wrapper.SchedTryLimit == 0 {
-		cfg.Wrapper.SchedTryLimit = 2
-	}
-	if cfg.Wrapper.EnactTryLimit == 0 {
-		cfg.Wrapper.EnactTryLimit = 1
-	}
+	wrapper := scheduler.Wrapper{SchedTryLimit: driverSchedTries, EnactTryLimit: driverEnactTries}
 	env := ms.Env()
 	var cache *scheduler.HostCache
 	if cfg.SnapshotTTL >= 0 {
@@ -191,7 +187,7 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 	enactorL := ms.Enactor.LOID()
 	rt := ms.Runtime()
 
-	res := &DriverResult{}
+	res := &DriverResult{ShedByPriority: make(map[int]int)}
 	var mu sync.Mutex
 	group := clock.NewGroup()
 	start := clock.Now()
@@ -208,15 +204,12 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 			rctx, cancel = clock.WithTimeout(ctx, cfg.Deadline)
 			defer cancel()
 		}
-		spec := sched.ReservationSpec{
-			Share: true, Reuse: true, Duration: time.Hour,
-			Priority: cfg.Priority,
-		}
+		spec := sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour}
 		if cfg.Spec != nil {
 			spec = cfg.Spec(i)
 		}
 		t0 := clock.Now()
-		out, err := cfg.Wrapper.Run(rctx, &envi, enactorL, gen, scheduler.Request{
+		out, err := wrapper.Run(rctx, &envi, enactorL, gen, scheduler.Request{
 			Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: cfg.Instances}},
 			Res:     spec,
 		})
@@ -226,19 +219,17 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 			if cfg.Observe != nil {
 				cfg.Observe(i, &out)
 			}
-			if !cfg.KeepInstances {
-				// Fresh context: the request deadline may be spent, and a
-				// successful placement must not leak because cleanup raced.
-				cctx, cancel := clock.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-				for j, insts := range out.Instances {
-					for _, inst := range insts {
-						_, _ = rt.Call(cctx, out.Feedback.Resolved[j].Class,
-							proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
-					}
+			// Fresh context: the request deadline may be spent, and a
+			// successful placement must not leak because cleanup raced.
+			cctx, cancel := clock.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+			for j, insts := range out.Instances {
+				for _, inst := range insts {
+					_, _ = rt.Call(cctx, out.Feedback.Resolved[j].Class,
+						proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 				}
-				_ = ms.Enactor.CancelReservations(cctx, out.RequestID)
-				cancel()
 			}
+			_ = ms.Enactor.CancelReservations(cctx, out.RequestID)
+			cancel()
 			mu.Lock()
 			res.Succeeded++
 			res.Latencies = append(res.Latencies, lat)
@@ -248,21 +239,23 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 		mu.Lock()
 		if isOverloadErr(err) {
 			res.Shed++
+			res.ShedByPriority[spec.Priority]++
 		} else {
 			res.Failed++
 		}
 		mu.Unlock()
 	}
 
-	// Open loop: arrivals keep their schedule no matter how many earlier
-	// requests are in flight. Arrival gaps come from their own stream so
-	// the schedule does not depend on placement outcomes.
+	// Open loop: arrivals keep an absolute schedule no matter how many
+	// earlier requests are in flight. A ticker would drop ticks when its
+	// receiver is delayed, which under load silently converts the open
+	// loop into a partially closed one — the generator would offer less
+	// load exactly when the service is busiest. Falling behind the
+	// schedule instead fires immediately, catching up. Arrival gaps come
+	// from their own stream so the schedule does not depend on placement
+	// outcomes.
 	arrivals := rand.New(&splitmix{state: uint64(cfg.Seed)})
 	interval := time.Duration(float64(time.Second) / cfg.Rate)
-	burst := cfg.BurstSize
-	if burst <= 1 {
-		burst = 1
-	}
 	next := start
 	for i := 0; i < cfg.Requests; i++ {
 		if d := clock.Until(next); d > 0 {
@@ -274,17 +267,9 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 		res.Offered++
 		n := i
 		clock.Go(func() { fire(n) })
-		if cfg.Progress != nil {
-			cfg.Progress(i+1, cfg.Requests)
-		}
-		switch cfg.Arrivals {
-		case Uniform:
+		if cfg.Arrivals == Uniform {
 			next = next.Add(interval)
-		case Bursty:
-			if (i+1)%burst == 0 {
-				next = next.Add(interval * time.Duration(burst))
-			}
-		default: // Poisson
+		} else {
 			next = next.Add(time.Duration(arrivals.ExpFloat64() * float64(interval)))
 		}
 	}

@@ -94,7 +94,6 @@ func (s FinishedSpan) String() string {
 // for new ones. Safe for concurrent use.
 type SpanLog struct {
 	disabled bool
-	runtime  string // stamped onto spans; set via SetRuntime
 
 	mu    sync.Mutex
 	ring  []FinishedSpan
@@ -109,14 +108,6 @@ func NewSpanLog(cap int) *SpanLog {
 		cap = defaultSpanCap
 	}
 	return &SpanLog{ring: make([]FinishedSpan, 0, cap)}
-}
-
-// SetRuntime stamps subsequently recorded spans with the runtime's
-// domain name, so a merged multi-runtime dump stays attributable.
-func (l *SpanLog) SetRuntime(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.runtime = name
 }
 
 // ids mints process-unique span/trace IDs. Starting at 1 keeps 0 free
@@ -149,13 +140,7 @@ func WithRemoteParent(ctx context.Context, sc SpanContext) context.Context {
 // The returned ctx carries the new span for children to parent under.
 // On a disabled log it returns (ctx, nil) — and nil spans no-op.
 func (l *SpanLog) Start(ctx context.Context, name string) (context.Context, *Span) {
-	if l == nil {
-		return ctx, nil
-	}
-	l.mu.Lock()
-	rt := l.runtime
-	l.mu.Unlock()
-	return l.StartIn(ctx, name, rt)
+	return l.StartIn(ctx, name, "")
 }
 
 // StartIn is Start with an explicit runtime stamp — used by call sites

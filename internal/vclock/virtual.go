@@ -428,20 +428,6 @@ func (v *Virtual) Trace() []string {
 	return append([]string(nil), v.trace...)
 }
 
-// PendingEvents returns how many live events are scheduled (tests and
-// leak checks).
-func (v *Virtual) PendingEvents() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for _, e := range v.heap {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // --- timers & tickers ---
 
 type vtimer struct {
