@@ -36,9 +36,11 @@ func (v Value) AppendWire(b []byte) []byte {
 // DecodeWire consumes a Value encoded by AppendWire. String payloads are
 // interned — attribute values repeat across a fleet ("linux", "x86_64",
 // zone names) almost as much as attribute names do.
-func (v *Value) DecodeWire(r *wire.Reader) { v.decodeWire(r, 0) }
+func (v *Value) DecodeWire(r *wire.Reader) { v.decodeWire(r, 0, nil) }
 
-func (v *Value) decodeWire(r *wire.Reader, depth int) {
+// decodeWire decodes one Value; list elements are carved from s when it
+// is non-nil and allocated per list otherwise.
+func (v *Value) decodeWire(r *wire.Reader, depth int, s *Slab) {
 	if r.Err != nil {
 		*v = Value{}
 		return
@@ -71,9 +73,13 @@ func (v *Value) decodeWire(r *wire.Reader, depth int) {
 		if r.Err != nil || n == 0 {
 			return
 		}
-		v.l = make([]Value, n)
+		if s != nil {
+			v.l = s.values(n, len(r.B))
+		} else {
+			v.l = make([]Value, n)
+		}
 		for i := range v.l {
-			v.l[i].decodeWire(r, depth+1)
+			v.l[i].decodeWire(r, depth+1, s)
 		}
 	default:
 		r.Err = fmt.Errorf("attr: wire decode: invalid kind %d", int(k))
@@ -109,4 +115,71 @@ func DecodeWirePairs(r *wire.Reader, reuse []Pair) []Pair {
 		out[i].Value.DecodeWire(r)
 	}
 	return out
+}
+
+// Slab decodes the Pair lists of one multi-record message (a Collection
+// QueryReply, a BatchUpdateArgs) into shared backing arrays: one Pair
+// array and one Value array for the list elements, instead of one Pair
+// slice per record and one slice per list. Every slice it hands out is
+// a capacity-capped window (s[a:b:b]) of those arrays, so an append to
+// one record's Attrs, or to one of its list values, reallocates rather
+// than overwriting the next record. The windows share the arrays' life:
+// the whole message is garbage only when no record is referenced.
+//
+// The zero Slab is ready to use; it belongs to one decode and is not
+// safe for concurrent use.
+type Slab struct {
+	pairs []Pair
+	vals  []Value
+	// left is the number of records still to decode, the current one
+	// included; it sizes the next backing array on the assumption that
+	// the remaining records are shaped like the current one.
+	left int
+}
+
+// DecodeWirePairs consumes a Pair slice like the package-level
+// DecodeWirePairs, carving it and its list values from the slab. left
+// counts the records still to decode, this one included.
+func (s *Slab) DecodeWirePairs(r *wire.Reader, left int) []Pair {
+	n := r.Len()
+	if r.Err != nil || n == 0 {
+		return nil
+	}
+	s.left = left
+	// Every remaining pair takes at least two bytes (name length, kind).
+	out := carve(&s.pairs, n, s.estimate(n, len(r.B)/2))
+	for i := range out {
+		out[i].Name = r.Sym()
+		out[i].Value.decodeWire(r, 0, s)
+	}
+	return out
+}
+
+// values carves a window of n list elements; rest is the number of
+// bytes left in the message, an upper bound on the values it can hold.
+func (s *Slab) values(n, rest int) []Value {
+	return carve(&s.vals, n, s.estimate(n, rest))
+}
+
+// estimate sizes a new backing array for a window of n: n per remaining
+// record, but never more than bound (what the rest of the message can
+// still encode) and never less than n.
+func (s *Slab) estimate(n, bound int) int {
+	est := n * max(s.left, 1)
+	if est > bound {
+		est = bound
+	}
+	return max(est, n)
+}
+
+// carve returns the next n elements of *slab as a capacity-capped
+// window, starting a new backing array of size grow when the current
+// one is full. Earlier windows keep the old array alive.
+func carve[T any](slab *[]T, n, grow int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, grow)
+	}
+	a := len(*slab)
+	*slab = (*slab)[:a+n]
+	return (*slab)[a : a+n : a+n]
 }

@@ -29,21 +29,21 @@ func NewLimiter(limit int) *Limiter {
 	return &Limiter{limit: int64(limit)}
 }
 
-// TryGo runs fn on a new goroutine if a slot is free, returning whether
-// it was admitted. It never blocks: at capacity it refuses immediately
-// so the caller can shed with a typed refusal instead of queueing
-// unboundedly.
-func (l *Limiter) TryGo(fn func()) bool {
+// TryAcquire takes a slot if one is free, reporting whether it did. It
+// never blocks: at capacity it refuses immediately so the caller can
+// shed with a typed refusal instead of queueing unboundedly. The caller
+// runs its task on a goroutine of its own and calls Release when the
+// task ends.
+func (l *Limiter) TryAcquire() bool {
 	if l.inFlight.Add(1) > l.limit {
 		l.inFlight.Add(-1)
 		return false
 	}
-	go func() {
-		defer l.inFlight.Add(-1)
-		fn()
-	}()
 	return true
 }
+
+// Release returns a slot taken by TryAcquire.
+func (l *Limiter) Release() { l.inFlight.Add(-1) }
 
 // InFlight returns the number of currently admitted tasks.
 func (l *Limiter) InFlight() int { return int(l.inFlight.Load()) }

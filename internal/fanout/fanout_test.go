@@ -64,13 +64,26 @@ func TestDoZeroAndNegative(t *testing.T) {
 	}
 }
 
+// tryGo runs fn on a new goroutine in a slot of l, if one is free: the
+// ORB server's use of the Limiter.
+func tryGo(l *Limiter, fn func()) bool {
+	if !l.TryAcquire() {
+		return false
+	}
+	go func() {
+		defer l.Release()
+		fn()
+	}()
+	return true
+}
+
 func TestLimiterAdmitsUpToLimit(t *testing.T) {
 	l := NewLimiter(3)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		if !l.TryGo(func() { defer wg.Done(); <-release }) {
+		if !tryGo(l, func() { defer wg.Done(); <-release }) {
 			t.Fatalf("task %d refused below limit", i)
 		}
 	}
@@ -81,7 +94,7 @@ func TestLimiterAdmitsUpToLimit(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if l.TryGo(func() {}) {
+	if tryGo(l, func() {}) {
 		t.Fatal("admitted past the limit")
 	}
 	close(release)
@@ -93,7 +106,7 @@ func TestLimiterAdmitsUpToLimit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	done := make(chan struct{})
-	if !l.TryGo(func() { close(done) }) {
+	if !tryGo(l, func() { close(done) }) {
 		t.Fatal("refused after slots freed")
 	}
 	<-done
@@ -108,7 +121,7 @@ func TestLimiterRefusalIsNonBlocking(t *testing.T) {
 	defer close(release)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	if !l.TryGo(func() { defer wg.Done(); <-release }) {
+	if !tryGo(l, func() { defer wg.Done(); <-release }) {
 		t.Fatal("first task refused")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -120,7 +133,7 @@ func TestLimiterRefusalIsNonBlocking(t *testing.T) {
 	}
 	var ran atomic.Bool
 	start := time.Now()
-	if l.TryGo(func() { ran.Store(true) }) {
+	if tryGo(l, func() { ran.Store(true) }) {
 		t.Fatal("admitted past the limit")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {

@@ -26,6 +26,9 @@ import (
 type coalescer struct {
 	w     io.Writer
 	onErr func(error) // invoked once, outside the lock, on write failure
+	// flush is co.flushLoop, bound once: a go statement on a method
+	// value allocates a closure every time a flusher starts.
+	flush func()
 
 	mu       sync.Mutex
 	pending  []byte // frames accumulated since the last swap
@@ -53,7 +56,9 @@ type frameSpan struct {
 const coalesceRecycleMax = 1 << 22
 
 func newCoalescer(w io.Writer, onErr func(error)) *coalescer {
-	return &coalescer{w: w, onErr: onErr}
+	co := &coalescer{w: w, onErr: onErr}
+	co.flush = co.flushLoop
+	return co
 }
 
 // append runs fn under the coalescer lock to append exactly one
@@ -76,7 +81,7 @@ func (co *coalescer) append(fn func(b []byte) []byte) (uint64, error) {
 	co.spans = append(co.spans, frameSpan{id: id, start: start, end: len(co.pending)})
 	if !co.flushing {
 		co.flushing = true
-		go co.flushLoop()
+		go co.flush()
 	}
 	co.mu.Unlock()
 	return id, nil

@@ -112,20 +112,33 @@ func RegisterWireMessage[T any, PT interface {
 	}
 	var zero T
 	typ := reflect.TypeOf(zero)
+	// A T on the stack escapes through the method call behind PT, so
+	// encoding a by-value argument and decoding a payload each work in a
+	// pooled scratch T instead: the encode then allocates nothing and
+	// the decode only the boxed result. Scratch is zeroed before reuse,
+	// so no decoded value shares memory with a later one.
+	scratch := sync.Pool{New: func() any { return PT(new(T)) }}
 	enc := func(v any, b []byte) []byte {
 		if p, ok := v.(PT); ok {
 			return p.AppendWire(b)
 		}
-		t := v.(T)
-		return PT(&t).AppendWire(b)
+		p := scratch.Get().(PT)
+		*p = v.(T)
+		b = p.AppendWire(b)
+		*p = zero
+		scratch.Put(p)
+		return b
 	}
 	dec := func(r *wire.Reader) any {
-		var t T
-		PT(&t).DecodeWire(r)
-		if r.Err != nil {
-			return nil
+		p := scratch.Get().(PT)
+		p.DecodeWire(r)
+		var v any
+		if r.Err == nil {
+			v = *p
 		}
-		return t
+		*p = zero
+		scratch.Put(p)
+		return v
 	}
 	wireRegMu.Lock()
 	defer wireRegMu.Unlock()

@@ -107,6 +107,8 @@ type Runtime struct {
 	jitter    time.Duration
 	tracer    CallTracer
 	metrics   *telemetry.Registry
+	cliStats  *methodCache // per-method client stats in metrics
+	srvStats  *methodCache // per-method server stats in metrics
 	clock     vclock.Clock
 	loopback  LoopbackCodec
 	wireCodec WireCodec
@@ -125,7 +127,7 @@ type Runtime struct {
 // domain names the site (site autonomy is a core Legion objective); all
 // LOIDs minted through the runtime carry it.
 func NewRuntime(domain string) *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		name:      domain,
 		minter:    loid.NewMinter(domain),
 		objects:   make(map[loid.LOID]Object),
@@ -133,11 +135,12 @@ func NewRuntime(domain string) *Runtime {
 		domains:   make(map[string]string),
 		clients:   make(map[string]*tcpClient),
 		rng:       rand.New(rand.NewSource(1)),
-		metrics:   telemetry.Default,
 		clock:     vclock.Wall,
 		wireCodec: CodecBinary,
 		srvLim:    fanout.NewLimiter(DefaultServerLimit),
 	}
+	rt.SetMetrics(telemetry.Default)
+	return rt
 }
 
 // Domain returns the runtime's administrative domain name.
@@ -239,9 +242,11 @@ func (rt *Runtime) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		reg = telemetry.Default
 	}
+	cli := newMethodCache(reg, "legion_orb_client_seconds")
+	srv := newMethodCache(reg, "legion_orb_server_seconds")
 	rt.hooksMu.Lock()
 	defer rt.hooksMu.Unlock()
-	rt.metrics = reg
+	rt.metrics, rt.cliStats, rt.srvStats = reg, cli, srv
 }
 
 // Metrics returns the runtime's telemetry registry.
@@ -249,6 +254,13 @@ func (rt *Runtime) Metrics() *telemetry.Registry {
 	rt.hooksMu.RLock()
 	defer rt.hooksMu.RUnlock()
 	return rt.metrics
+}
+
+// serverStats returns the registry and the per-method server stats.
+func (rt *Runtime) serverStats() (*telemetry.Registry, *methodCache) {
+	rt.hooksMu.RLock()
+	defer rt.hooksMu.RUnlock()
+	return rt.metrics, rt.srvStats
 }
 
 // SetClock replaces the runtime's time source (by default the wall
@@ -414,6 +426,8 @@ func (rt *Runtime) Call(ctx context.Context, target loid.LOID, method string, ar
 	// measurable at virtual-scale call volumes.
 	rt.hooksMu.RLock()
 	h := callHooks{
+		metrics:  rt.metrics,
+		stats:    rt.cliStats,
 		clock:    rt.clock,
 		tracer:   rt.tracer,
 		inject:   rt.inject,
@@ -433,6 +447,8 @@ func (rt *Runtime) Call(ctx context.Context, target loid.LOID, method string, ar
 // callHooks is the per-call snapshot of the runtime's hook state, read
 // once under hooksMu at the top of Call.
 type callHooks struct {
+	metrics  *telemetry.Registry
+	stats    *methodCache
 	clock    vclock.Clock
 	tracer   CallTracer
 	inject   FaultInjector
@@ -480,7 +496,7 @@ func (rt *Runtime) call(ctx context.Context, h callHooks, target loid.LOID, meth
 		return obj.Dispatch(ctx, method, arg)
 	}
 	if bound {
-		return rt.callRemote(ctx, addr, target, method, arg)
+		return rt.callRemote(ctx, h, addr, target, method, arg)
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNotBound, target)
 }

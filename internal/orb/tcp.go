@@ -240,10 +240,10 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 // re-parenting, propagated-deadline enforcement, dispatch, server-side
 // metrics. Both codecs share it.
 func (s *tcpServer) process(meta requestMeta, arg any) (any, error) {
-	ctx := telemetry.WithRemoteParent(s.ctx,
-		telemetry.SpanContext{TraceID: meta.traceID, SpanID: meta.spanID})
-	reg := s.rt.Metrics()
-	ctx, span := reg.Spans().StartIn(ctx, "rpc/"+meta.method, s.rt.Domain())
+	reg, stats := s.rt.serverStats()
+	st := stats.get(meta.method)
+	ctx, span := reg.Spans().StartRemote(s.ctx,
+		telemetry.SpanContext{TraceID: meta.traceID, SpanID: meta.spanID}, st.span, s.rt.Domain())
 	start := time.Now()
 	var res any
 	var err error
@@ -259,17 +259,16 @@ func (s *tcpServer) process(meta requestMeta, arg any) (any, error) {
 				ErrDeadlineExpired, meta.method,
 				time.Since(dl).Round(time.Millisecond))
 		} else {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, dl)
-			defer cancel()
+			cctx := newCallCtx(ctx, dl)
+			defer cctx.release()
+			ctx = cctx
 		}
 	}
 	if err == nil {
 		res, err = s.rt.Call(ctx, meta.target, meta.method, arg)
 	}
 	span.Finish(err)
-	reg.Histogram("legion_orb_server_seconds", telemetry.LatencyBuckets,
-		"method", meta.method).ObserveSince(start)
+	st.seconds.ObserveSince(start)
 	if err != nil {
 		reg.Counter("legion_orb_server_errors_total", "method", meta.method).Inc()
 	}
@@ -309,18 +308,19 @@ func (s *tcpServer) serveGob(conn net.Conn) {
 		meta := requestMeta{id: req.ID, target: loidFromWire(req.Target),
 			method: req.Method, traceID: req.TraceID, spanID: req.SpanID,
 			deadline: req.Deadline}
+		if !s.lim.TryAcquire() {
+			kind, msg := encodeErr(s.shed(meta.method))
+			respond(response{ID: meta.id, ErrMsg: msg, ErrKind: kind})
+			continue
+		}
 		reqWG.Add(1)
-		admitted := s.lim.TryGo(func() {
+		go func() {
 			defer reqWG.Done()
+			defer s.lim.Release()
 			res, err := s.process(meta, req.Arg)
 			kind, msg := encodeErr(err)
 			respond(response{ID: meta.id, Result: res, ErrMsg: msg, ErrKind: kind})
-		})
-		if !admitted {
-			reqWG.Done()
-			kind, msg := encodeErr(s.shed(meta.method))
-			respond(response{ID: meta.id, ErrMsg: msg, ErrKind: kind})
-		}
+		}()
 	}
 }
 
@@ -366,16 +366,17 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 			s.respondBinary(co, meta.id, nil, perr)
 			continue
 		}
+		if !s.lim.TryAcquire() {
+			s.respondBinary(co, meta.id, nil, s.shed(meta.method))
+			continue
+		}
 		reqWG.Add(1)
-		admitted := s.lim.TryGo(func() {
+		go func() {
 			defer reqWG.Done()
+			defer s.lim.Release()
 			res, err := s.process(meta, arg)
 			s.respondBinary(co, meta.id, res, err)
-		})
-		if !admitted {
-			reqWG.Done()
-			s.respondBinary(co, meta.id, nil, s.shed(meta.method))
-		}
+		}()
 	}
 }
 
@@ -531,13 +532,21 @@ func (c *tcpClient) close(err error) {
 	}
 }
 
+// respChans recycles response channels. A channel goes back only after
+// its caller received the reply: deliver and close remove a pending
+// entry before sending on it, so once the one reply is taken nothing
+// else can send. A withdrawn call's channel is never recycled — a
+// reply may still be on its way into it.
+var respChans = sync.Pool{New: func() any { return make(chan response, 1) }}
+
 // register allocates a request ID and its response channel.
 func (c *tcpClient) register(req *request) (chan response, error) {
-	ch := make(chan response, 1)
+	ch := respChans.Get().(chan response)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		respChans.Put(ch)
 		return nil, err
 	}
 	c.nextID++
@@ -604,6 +613,7 @@ func (c *tcpClient) callBinary(ctx context.Context, req request) (any, error) {
 
 	select {
 	case resp := <-ch:
+		respChans.Put(ch)
 		return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
 	case <-ctx.Done():
 		c.withdraw(req.ID)
@@ -681,6 +691,7 @@ func (c *tcpClient) callGob(ctx context.Context, req request) (any, error) {
 	// withdrawn ID is simply dropped by the read loop.
 	select {
 	case resp := <-ch:
+		respChans.Put(ch)
 		return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
 	case <-ctx.Done():
 		c.withdraw(req.ID)
@@ -717,14 +728,12 @@ func (rt *Runtime) client(addr string) (*tcpClient, error) {
 	return c, nil
 }
 
-func (rt *Runtime) callRemote(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
-	reg := rt.Metrics()
+func (rt *Runtime) callRemote(ctx context.Context, h callHooks, addr string, target loid.LOID, method string, arg any) (any, error) {
 	start := time.Now()
 	res, err := rt.callRemoteRaw(ctx, addr, target, method, arg)
-	reg.Histogram("legion_orb_client_seconds", telemetry.LatencyBuckets,
-		"method", method).ObserveSince(start)
+	h.stats.get(method).seconds.ObserveSince(start)
 	if err != nil {
-		reg.Counter("legion_orb_client_errors_total", "method", method).Inc()
+		h.metrics.Counter("legion_orb_client_errors_total", "method", method).Inc()
 	}
 	return res, err
 }

@@ -319,6 +319,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	for i := byte(0); i < 27; i++ { // one seed steering into each message arm
 		f.Add([]byte{i, 0xff, 0x7f, 0x80, 0x01, 0x3c, 0xa5, 0x5a, 0x00, 0x10, 0xfe, 0x42, i * 11, 0x9c, 0x63, 0x31})
 	}
+	// A three-record QueryReply with 2, 0 and 4 pairs per record and
+	// lists nested two deep: the decoder carves every record and list
+	// from one per-reply slab, and this seed crosses window boundaries
+	// of both the pair and the value arrays.
+	f.Add([]byte{15, 3,
+		1, 4, 0, 1, 0, 2, 6, 0, 3, 7, 9, 4, 2, 1, 0, 5, 0, 4, 2, 3, 1, 4, 8, 1,
+		2, 4, 0, 2, 0, 0, 0, 0, 9, 0, 0,
+		1, 4, 0, 3, 0, 4, 10, 3, 0, 6, 4, 1, 4, 1, 2, 0, 7, 0, 7, 0, 1, 8, 1, 0, 0, 0, 1,
+		2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arm 1: adversarial decode — raw fuzz bytes are not a valid
 		// payload in general; decoding must error or succeed, not panic.

@@ -421,8 +421,15 @@ func (m *BatchEntry) AppendWire(b []byte) []byte {
 
 // DecodeWire implements orb.WireMessage.
 func (m *BatchEntry) DecodeWire(r *wire.Reader) {
+	var slab attr.Slab
+	m.decodeWire(r, &slab, 1)
+}
+
+// decodeWire decodes the entry with its Attrs carved from slab; left
+// counts the entries still to decode, this one included.
+func (m *BatchEntry) decodeWire(r *wire.Reader, slab *attr.Slab, left int) {
 	m.Member.DecodeWire(r)
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = slab.DecodeWirePairs(r, left)
 	m.UpdateOnly = r.Bool()
 }
 
@@ -435,7 +442,8 @@ func (m *BatchUpdateArgs) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Credential)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire implements orb.WireMessage. Every entry's Attrs is a
+// window of one per-message attr.Slab (DESIGN.md §14).
 func (m *BatchUpdateArgs) DecodeWire(r *wire.Reader) {
 	n := r.Len()
 	if n > 0 {
@@ -444,8 +452,9 @@ func (m *BatchUpdateArgs) DecodeWire(r *wire.Reader) {
 		} else {
 			m.Entries = make([]BatchEntry, n)
 		}
+		var slab attr.Slab
 		for i := range m.Entries {
-			m.Entries[i].DecodeWire(r)
+			m.Entries[i].decodeWire(r, &slab, n-i)
 		}
 	} else {
 		m.Entries = nil
@@ -484,8 +493,15 @@ func (m *CollectionRecord) AppendWire(b []byte) []byte {
 
 // DecodeWire implements orb.WireMessage.
 func (m *CollectionRecord) DecodeWire(r *wire.Reader) {
+	var slab attr.Slab
+	m.decodeWire(r, &slab, 1)
+}
+
+// decodeWire decodes the record with its Attrs carved from slab; left
+// counts the records still to decode, this one included.
+func (m *CollectionRecord) decodeWire(r *wire.Reader, slab *attr.Slab, left int) {
 	m.Member.DecodeWire(r)
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = slab.DecodeWirePairs(r, left)
 	m.UpdatedAt = r.Time()
 }
 
@@ -498,7 +514,9 @@ func (m *QueryReply) AppendWire(b []byte) []byte {
 	return wire.AppendVarint(b, int64(m.SkippedShards))
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire implements orb.WireMessage. Every record's Attrs is a
+// window of one per-reply attr.Slab, so a reply costs a fixed handful
+// of allocations whatever its record count (DESIGN.md §14).
 func (m *QueryReply) DecodeWire(r *wire.Reader) {
 	n := r.Len()
 	if n > 0 {
@@ -507,8 +525,9 @@ func (m *QueryReply) DecodeWire(r *wire.Reader) {
 		} else {
 			m.Records = make([]CollectionRecord, n)
 		}
+		var slab attr.Slab
 		for i := range m.Records {
-			m.Records[i].DecodeWire(r)
+			m.Records[i].decodeWire(r, &slab, n-i)
 		}
 	} else {
 		m.Records = nil

@@ -68,16 +68,32 @@ func (c *Caller) call(ctx context.Context, p Policy, target loid.LOID, method st
 	if c.breakers != nil {
 		br = c.breakers.ForLOID(target)
 	}
-	return p.DoValue(ctx, func(ctx context.Context) (any, error) {
-		if br != nil {
-			if err := br.Allow(); err != nil {
-				return nil, fmt.Errorf("%w (target %v, method %s)", err, target, method)
-			}
+	r := p.start(ctx)
+	for {
+		actx, cancel := r.attempt()
+		res, err := c.attempt(actx, br, target, method, arg)
+		if cancel != nil {
+			cancel()
 		}
-		res, err := c.inv.Call(ctx, target, method, arg)
-		if br != nil {
-			br.Record(err)
+		if err == nil {
+			return res, nil
 		}
-		return res, err
-	})
+		if err = r.retry(err); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// attempt makes one call through the target's breaker.
+func (c *Caller) attempt(ctx context.Context, br *Breaker, target loid.LOID, method string, arg any) (any, error) {
+	if br != nil {
+		if err := br.Allow(); err != nil {
+			return nil, fmt.Errorf("%w (target %v, method %s)", err, target, method)
+		}
+	}
+	res, err := c.inv.Call(ctx, target, method, arg)
+	if br != nil {
+		br.Record(err)
+	}
+	return res, err
 }

@@ -15,7 +15,7 @@
 //     refusals (placement policy, reservation conflicts, unbound
 //     objects) that retrying cannot fix;
 //   - a retry Policy with exponential backoff, jitter, and a per-call
-//     deadline budget (Do / DoValue);
+//     deadline budget (Do);
 //   - a per-endpoint circuit Breaker (closed → open → half-open, see
 //     breaker.go) so a dead Host is failed fast after a few strikes
 //     instead of absorbing a full retry budget on every call.
@@ -296,51 +296,95 @@ func (p Policy) delay(n int) time.Duration {
 // Do runs op under the policy: attempts are repeated with backoff while
 // the error stays retryable, the budget deadline holds, and attempts
 // remain. The final error is returned annotated with the attempt count.
+//
+// Each attempt runs on at most one derived context, whose deadline is
+// the sooner of the budget deadline and the attempt timeout; when the
+// caller's own deadline is sooner still, the attempt runs on ctx
+// itself. op must therefore leave nothing running on its context once
+// it returns: the context is not always cancelled afterwards.
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) error {
-	clock := vclock.Default(p.Clock)
-	if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = clock.WithTimeout(ctx, p.Budget)
-		defer cancel()
-	}
-	var err error
-	attempts := p.attempts()
-	for n := 1; ; n++ {
-		actx := ctx
-		var cancel context.CancelFunc = func() {}
-		if p.AttemptTimeout > 0 {
-			actx, cancel = clock.WithTimeout(ctx, p.AttemptTimeout)
+	r := p.start(ctx)
+	for {
+		actx, cancel := r.attempt()
+		err := op(actx)
+		if cancel != nil {
+			cancel()
 		}
-		err = op(actx)
-		cancel()
 		if err == nil {
 			return nil
 		}
-		if !p.retryable(err) {
+		if err = r.retry(err); err != nil {
 			return err
-		}
-		if n >= attempts {
-			return fmt.Errorf("resilient: %d attempts exhausted: %w", attempts, err)
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", n, err)
-		}
-		if serr := clock.Sleep(ctx, p.delay(n)); serr != nil {
-			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", n, err)
 		}
 	}
 }
 
-// DoValue is Do for operations returning a value.
-func (p Policy) DoValue(ctx context.Context, op func(ctx context.Context) (any, error)) (any, error) {
-	var res any
-	err := p.Do(ctx, func(ctx context.Context) error {
-		var oerr error
-		res, oerr = op(ctx)
-		return oerr
-	})
-	if err != nil {
-		return nil, err
+// retrier is the state of one Policy.Do loop. Do and Caller.call drive
+// it directly, so a call pays no closure and no context beyond the one
+// per attempt.
+type retrier struct {
+	p      Policy
+	clock  vclock.Clock
+	parent context.Context
+	budget time.Time // zero: no budget beyond the parent's deadline
+	n      int       // attempts made
+}
+
+func (p Policy) start(ctx context.Context) retrier {
+	r := retrier{p: p, clock: vclock.Default(p.Clock), parent: ctx}
+	if p.Budget > 0 {
+		r.budget = r.clock.Now().Add(p.Budget)
 	}
-	return res, nil
+	return r
+}
+
+// attempt returns the context for the next attempt and its cancel,
+// which is nil when the attempt runs on the parent context itself.
+func (r *retrier) attempt() (context.Context, context.CancelFunc) {
+	r.n++
+	dl := r.budget
+	if r.p.AttemptTimeout > 0 {
+		if at := r.clock.Now().Add(r.p.AttemptTimeout); dl.IsZero() || at.Before(dl) {
+			dl = at
+		}
+	}
+	if dl.IsZero() {
+		return r.parent, nil
+	}
+	if pd, ok := r.parent.Deadline(); ok && !pd.After(dl) {
+		return r.parent, nil
+	}
+	return r.clock.WithTimeout(r.parent, r.clock.Until(dl))
+}
+
+// expired reports whether the budget, or the parent context, is spent.
+func (r *retrier) expired() bool {
+	return r.parent.Err() != nil || (!r.budget.IsZero() && !r.clock.Now().Before(r.budget))
+}
+
+// retry decides what follows the failed attempt: it returns the final
+// error, or nil after backing off when another attempt should run. The
+// backoff is clamped to the budget, and a backoff the budget cannot
+// cover ends the call at the budget deadline.
+func (r *retrier) retry(err error) error {
+	if !r.p.retryable(err) {
+		return err
+	}
+	if attempts := r.p.attempts(); r.n >= attempts {
+		return fmt.Errorf("resilient: %d attempts exhausted: %w", attempts, err)
+	}
+	if r.expired() {
+		return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", r.n, err)
+	}
+	d := r.p.delay(r.n)
+	if !r.budget.IsZero() {
+		if rem := r.clock.Until(r.budget); d >= rem {
+			_ = r.clock.Sleep(r.parent, rem)
+			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", r.n, err)
+		}
+	}
+	if r.clock.Sleep(r.parent, d) != nil {
+		return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", r.n, err)
+	}
+	return nil
 }

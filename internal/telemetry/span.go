@@ -118,12 +118,33 @@ func nextID() uint64 { return ids.Add(1) }
 
 type spanCtxKey struct{}
 
+// spanCtx is the context Start returns: the span it started, which
+// children parent under, in the same allocation as the context itself.
+// Its spanCtxKey value is the *Span, which boxes without allocating.
+type spanCtx struct {
+	context.Context
+	span Span
+}
+
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(spanCtxKey); ok {
+		return &c.span
+	}
+	return c.Context.Value(key)
+}
+
 // SpanFromContext returns the active span context, if any — either a
 // local parent installed by Start or a remote parent installed by the
 // ORB server from call metadata.
 func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	var sc SpanContext
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case SpanContext:
+		sc = v
+	case *Span:
+		sc = v.Context()
+	}
+	return sc, sc.Valid()
 }
 
 // WithRemoteParent installs a span context received from the wire, so
@@ -149,14 +170,31 @@ func (l *SpanLog) StartIn(ctx context.Context, name, runtime string) (context.Co
 	if l == nil || l.disabled {
 		return ctx, nil
 	}
-	s := &Span{log: l, name: name, id: nextID(), start: time.Now(), runtime: runtime}
-	if parent, ok := SpanFromContext(ctx); ok {
-		s.trace = parent.TraceID
-		s.parent = parent.SpanID
-	} else {
-		s.trace = nextID()
+	parent, _ := SpanFromContext(ctx)
+	return l.start(ctx, parent, name, runtime)
+}
+
+// StartRemote is StartIn for a call received from the wire: the span
+// parents under the caller's span context sc, or opens a new trace when
+// sc is not valid. On a disabled log it still installs sc in ctx (as
+// WithRemoteParent does), so calls made while serving carry the
+// caller's trace onward.
+func (l *SpanLog) StartRemote(ctx context.Context, sc SpanContext, name, runtime string) (context.Context, *Span) {
+	if l == nil || l.disabled {
+		return WithRemoteParent(ctx, sc), nil
 	}
-	return context.WithValue(ctx, spanCtxKey{}, s.Context()), s
+	return l.start(ctx, sc, name, runtime)
+}
+
+func (l *SpanLog) start(ctx context.Context, parent SpanContext, name, runtime string) (context.Context, *Span) {
+	c := &spanCtx{Context: ctx, span: Span{log: l, name: name, id: nextID(), start: time.Now(), runtime: runtime}}
+	if parent.Valid() {
+		c.span.trace = parent.TraceID
+		c.span.parent = parent.SpanID
+	} else {
+		c.span.trace = nextID()
+	}
+	return c, &c.span
 }
 
 func (l *SpanLog) add(fs FinishedSpan) {

@@ -215,14 +215,22 @@ func NewRegistry() *Registry {
 }
 
 // NewDisabled creates a registry whose metrics and spans are no-ops —
-// the uninstrumented baseline for overhead measurements. Handles are
-// still minted (and deduplicated) so wiring code is identical.
+// the uninstrumented baseline for overhead measurements. Every lookup
+// returns one shared no-op handle per metric kind, before any label key
+// is built or lock taken, so wiring code is identical and costs nothing.
 func NewDisabled() *Registry {
 	r := NewRegistry()
 	r.disabled = true
 	r.spans.disabled = true
 	return r
 }
+
+// The shared handles a disabled registry returns.
+var (
+	nopCounter   = &Counter{nop: true}
+	nopGauge     = &Gauge{nop: true}
+	nopHistogram = &Histogram{nop: true}
+)
 
 // Default is the process-wide registry; runtimes use it unless given
 // their own via orb.Runtime.SetMetrics / core.Options.Metrics.
@@ -254,6 +262,9 @@ func key(name string, labels []string) string {
 // Counter returns (minting if needed) the counter for name+labels.
 // Labels are alternating key, value strings.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
+	if r.disabled {
+		return nopCounter
+	}
 	k := key(name, labels)
 	r.mu.RLock()
 	c, ok := r.counters[k]
@@ -266,13 +277,16 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if c, ok = r.counters[k]; ok {
 		return c
 	}
-	c = &Counter{nop: r.disabled}
+	c = &Counter{}
 	r.counters[k] = c
 	return c
 }
 
 // Gauge returns (minting if needed) the gauge for name+labels.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
+	if r.disabled {
+		return nopGauge
+	}
 	k := key(name, labels)
 	r.mu.RLock()
 	g, ok := r.gauges[k]
@@ -285,7 +299,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if g, ok = r.gauges[k]; ok {
 		return g
 	}
-	g = &Gauge{nop: r.disabled}
+	g = &Gauge{}
 	r.gauges[k] = g
 	return g
 }
@@ -294,6 +308,9 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // The bucket bounds are fixed at first mint; later calls with different
 // bounds return the existing histogram unchanged.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
+	if r.disabled {
+		return nopHistogram
+	}
 	k := key(name, labels)
 	r.mu.RLock()
 	h, ok := r.hists[k]
@@ -307,7 +324,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 		return h
 	}
 	h = newHistogram(bounds)
-	h.nop = r.disabled
 	r.hists[k] = h
 	return h
 }

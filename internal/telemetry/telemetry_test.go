@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestHistogramBucketEdges pins the boundary semantics: an observation
@@ -136,6 +137,29 @@ func TestDisabledRegistryIsInert(t *testing.T) {
 	}
 	if reg.Spans().Total() != 0 {
 		t.Error("disabled span log recorded spans")
+	}
+}
+
+// TestDisabledLookupsAllocateNothing: labeled lookups on a disabled
+// registry return the shared no-op handles without building a label key.
+func TestDisabledLookupsAllocateNothing(t *testing.T) {
+	reg := NewDisabled()
+	method := strings.Repeat("m", 3) // not a constant: keys must not fold
+	allocs := testing.AllocsPerRun(100, func() {
+		reg.Counter("calls_total", "method", method).Inc()
+		reg.Gauge("depth", "method", method).Add(1)
+		reg.Histogram("lat_seconds", LatencyBuckets, "method", method).ObserveSince(time.Now())
+	})
+	if allocs != 0 {
+		t.Errorf("disabled labeled lookups: %.1f allocs/op, want 0", allocs)
+	}
+	if reg.Counter("a", "k", "v") != reg.Counter("b") {
+		t.Error("disabled registry minted distinct counters")
+	}
+	var b strings.Builder
+	reg.WriteText(&b)
+	if b.Len() != 0 {
+		t.Errorf("disabled registry dumped metrics: %q", b.String())
 	}
 }
 
